@@ -240,23 +240,28 @@ void NotifyIfParked(PeState& dst) {
 }
 
 /// Consumer side: next message from `lane`, draining `batchq` first, then
-/// the ring, then (in batch, one lock) the overflow deque.  nullptr when
-/// the lane is empty.
+/// the ring, then (in batch, one lock) the overflow deque — spliced only
+/// while the ring shows no claimed cell under that lock.  nullptr when the
+/// lane is empty.
 void* LanePop(PeState& pe, InLane& lane, std::deque<void*>& batchq) {
   if (!batchq.empty()) {
     void* msg = batchq.front();
     batchq.pop_front();
     return msg;
   }
-  if (void* msg = lane.ring.TryPop()) return msg;
-  if (lane.overflow_count.load(std::memory_order_seq_cst) == 0) {
-    return nullptr;
-  }
-  {
+  for (;;) {
+    if (void* msg = lane.ring.TryPop()) return msg;
+    if (lane.overflow_count.load(std::memory_order_seq_cst) == 0) {
+      return nullptr;
+    }
     std::scoped_lock lk(pe.mu);
+    // A cell claimed since the TryPop above may hold a sender's message
+    // that precedes its overflowed ones (see InLane): the ring goes first.
+    if (lane.ring.HasItems()) continue;
     batchq.insert(batchq.end(), lane.overflow.begin(), lane.overflow.end());
     lane.overflow.clear();
     lane.overflow_count.store(0, std::memory_order_seq_cst);
+    break;
   }
   if (batchq.empty()) return nullptr;
   void* msg = batchq.front();
@@ -520,7 +525,13 @@ void* PopNet(PeState& pe) {
       msg = m.uses_timedq() ? PopTimed(pe, m)
                             : LanePop(pe, pe.netlane, pe.batchq);
     }
-    if (msg == nullptr) return nullptr;
+    if (msg == nullptr) {
+      // Nothing to deliver: the PE is about to poll again or block, so
+      // its staged wire records go out now (the awaited reply may depend
+      // on them).
+      FlushWire(pe);
+      return nullptr;
+    }
     if (!TryScatter(pe, msg)) return msg;
     // Scatter consumed the message; look for the next one.
   }
@@ -560,6 +571,7 @@ int DeliverAvailable(PeState& pe, int budget) {
       DispatchMessage(msg, /*system_owned=*/true);
       ++delivered;
     }
+    FlushWire(pe);  // what the handler sent crosses the wire now
     // Dispatch boundaries are the sim's primary preemption points.
     if (sim != nullptr) sim->YieldPoint(pe);
   }

@@ -59,6 +59,19 @@ struct NetEntry {
 ///  * The consumer drains the ring before splicing the overflow deque into
 ///    its private batch queue, and drains the batch queue before returning
 ///    to the ring.
+///  * "Drains the ring" is checked under PeState::mu, not before taking it:
+///    the consumer splices only if the ring shows no claimed cell (tail ==
+///    head) while it holds the mutex, and otherwise pops the ring first.
+///    Why that suffices: a producer appends to the deque only under the
+///    mutex, and each of its earlier ring messages was claimed (seq_cst
+///    tail CAS) before that append, so it is visible to a consumer that
+///    takes the mutex afterwards.  A ring that looks empty under the lock
+///    therefore holds no message older than any deque entry of the same
+///    sender; later messages of that sender divert to the deque (the
+///    count stays nonzero) until the splice zeroes it under the same lock.
+///    Checking the ring before the lock instead lets a sender's m1 be
+///    claimed in the ring and its m2 spill between the two checks — the
+///    splice would then deliver m2 before m1.
 struct InLane {
   MpscRing ring;
   std::atomic<std::uint64_t> overflow_count{0};  // writes under PeState::mu
@@ -151,6 +164,9 @@ struct PeState {
   void* pending_mmi = nullptr;  // last buffer returned by CmiGetMsg/Specific
   bool pending_mmi_grabbed = false;
   bool exit_requested = false;
+  // Set when a socket-transport send left records of this PE in the wire
+  // outboxes; the next flush point (FlushWire) writes them.
+  bool wire_staged = false;
   int sched_depth = 0;  // nesting level of running scheduler loops
   std::vector<void*> module_state;
   // Scatter registrations (EMI advance receive).  Guarded by scatter_mu:

@@ -11,6 +11,7 @@
 
 #include "converse/check.h"
 #include "core/pe_state.h"
+#include "core/transport/transport.h"
 #include "race/race_internal.h"
 
 namespace converse {
@@ -51,6 +52,7 @@ bool RunOneFromQueue(PeState& pe) {
   if (msg == nullptr) return false;
   ++pe.stats.msgs_scheduled;
   detail::DispatchMessage(msg, /*system_owned=*/false);
+  detail::FlushWire(pe);  // what the handler sent crosses the wire now
   // Under the sim backend, every scheduler-queue dispatch is a potential
   // preemption point, matching the network-delivery boundaries.
   detail::SimYieldHere();

@@ -675,6 +675,7 @@ int CstFlushDest(PeState& pe, int dest) {
 int CstFlushAll(PeState& pe) {
   int n = 0;
   while (!pe.agg.open.empty()) n += FlushFrameAt(pe, 0);
+  FlushWire(pe);  // the frames (and earlier staged records) go out now
   return n;
 }
 

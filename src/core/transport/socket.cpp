@@ -3,15 +3,26 @@
 // (CONVERSE_RDV directory) or loopback-TCP (CONVERSE_TCP_BASE) byte
 // streams carrying the length-prefixed records of core/transport/wire.h.
 //
-// Threading model: ONE comm thread per node (the "one comm drain" of the
-// two-level SMP design).  PE threads never touch a socket — SendRemote /
-// SendNodeCast serialize the record into a per-peer outbox under one
-// engine mutex and poke a wake pipe; the comm thread gathers queued
-// records with sendmsg (many records per syscall — aggregation frames are
-// the wire unit, so one syscall often moves hundreds of logical
-// messages), reads 64 KiB chunks, and injects rebuilt messages straight
-// onto the destination PE's delivery lane (DeliverFromWire) or expands
-// node-cast records (CstNodeCastExpand).
+// Threading model: sending PEs write their own records; ONE comm thread
+// per node reads.  SendRemote / SendNodeCast stage the record in a
+// per-peer outbox under one engine mutex and mark the PE `wire_staged`.
+// The PE then gathers the outbox into one sendmsg itself (many records
+// per syscall — aggregation frames are the wire unit, so one syscall
+// often moves hundreds of logical messages) at these flush points only:
+//   (a) in the send call, once the outbox holds a full gather batch;
+//   (b) in the send call, for immediates;
+//   (c) after every handler dispatch (DeliverAvailable, RunOneFromQueue);
+//   (d) whenever PopNet finds the lanes empty (CmiGetMsg polling,
+//       WaitForNet, CmiGetSpecificMsg);
+//   (e) in CstFlushAll (CmiFlush, CsdScheduleUntilIdle, entry return).
+// A write the kernel refuses (EAGAIN or a partial write) or a stream that
+// is down hands the peer to the comm thread: the PE pokes the wake pipe
+// once, the comm thread drains the rest on POLLOUT (or on reconnect), and
+// PEs leave that peer's outbox alone until it is empty again.  The comm
+// thread reads 256 KiB chunks and injects rebuilt messages straight onto
+// the destination PE's delivery lane (DeliverFromWire) or expands
+// node-cast records (CstNodeCastExpand); it also flushes every outbox
+// after each poll round, a 50 ms backstop for records no flush point saw.
 //
 // Rendezvous: node i listens at its well-known address and CONNECTS to
 // every j < i (retry with backoff until wire_timeout_ms), then sends a
@@ -78,14 +89,21 @@ struct OutBuf {
   std::size_t size() const { return data.size() + msg_len; }
 };
 
-/// Per-peer connection state.  fd/parser/flags are comm-thread-only;
-/// `outbox` is shared with PE threads under SocketEngine::mu_.
+/// Per-peer connection state.  `fd` is written only by the comm thread and
+/// only under SocketEngine::mu_ (PE threads read it under mu_ to write
+/// their records; the comm thread reads it freely).  `outbox`,
+/// `outbox_bytes` and `stalled` are shared with PE threads under mu_; the
+/// rest is comm-thread-only.
 struct Peer {
   int fd = -1;
   bool hello_rx = false;
   bool goodbye_rx = false;
   bool goodbye_tx = false;
   std::deque<OutBuf> outbox;
+  std::size_t outbox_bytes = 0;  // sum of size() over outbox
+  // The kernel refused bytes (or the stream is down): the comm thread
+  // owns draining this outbox until a flush empties it.
+  bool stalled = false;
   WireParser parser;
   std::int64_t down_since_ns = -1;  // -1 while the stream is up
   std::int64_t next_dial_ns = 0;    // reconnect backoff gate
@@ -107,6 +125,12 @@ struct Pending {
 /// gathered by sendmsg straight from the (transferred-ownership) message.
 /// Below it the copy is cheaper than carrying ownership around.
 constexpr std::uint32_t kGatherMinBytes = 4096;
+
+/// A full gather batch: the records one sendmsg takes (its iovec[16]
+/// holds 15 two-slot records) or enough bytes to make the syscall's cost
+/// vanish.  Flush point (a) writes once the outbox holds this much.
+constexpr std::size_t kBatchRecords = 15;
+constexpr std::size_t kBatchBytes = 64 * 1024;
 
 void SetNonBlocking(int fd) {
   const int fl = fcntl(fd, F_GETFL, 0);
@@ -186,15 +210,13 @@ class SocketEngine : public Transport {
     assert((h->flags & (kMsgFlagBcast | kMsgFlagSbcast)) == 0);
     const std::uint32_t len = h->total_size;
     CountRecordSent(src, len);
+    const std::uint8_t kind = immediate ? kWireImmediate : kWireMessage;
     if (len >= kGatherMinBytes) {
       // Zero-copy path: the outbox takes ownership and sendmsg gathers
       // the body straight from the message; freed after the last byte.
-      Enqueue(machine_.NodeOf(dest_pe),
-              immediate ? kWireImmediate : kWireMessage, dest_pe, msg, len,
-              msg);
+      Enqueue(src, machine_.NodeOf(dest_pe), kind, dest_pe, msg, len, msg);
     } else {
-      Enqueue(machine_.NodeOf(dest_pe),
-              immediate ? kWireImmediate : kWireMessage, dest_pe, msg, len);
+      Enqueue(src, machine_.NodeOf(dest_pe), kind, dest_pe, msg, len);
       check::OnReclaim(msg);  // the wire consumed the in-flight buffer
       CmiFree(msg);
     }
@@ -204,8 +226,18 @@ class SocketEngine : public Transport {
   void SendNodeCast(PeState& src, int node, const void* image,
                     std::uint32_t size) override {
     assert(node != mynode_);
-    Enqueue(node, kWireNodeCast, machine_.NodeFirst(node), image, size);
+    Enqueue(src, node, kWireNodeCast, machine_.NodeFirst(node), image, size);
     CountRecordSent(src, size);
+  }
+
+  /// Flush points (c)-(e): write every outbox the comm thread does not
+  /// own.  Other PEs' staged records ride along (one sendmsg per peer).
+  void Flush(PeState& pe) override {
+    pe.wire_staged = false;
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Peer& p : peers_) {
+      if (!p.outbox.empty()) WriteLocked(p);
+    }
   }
 
  private:
@@ -302,12 +334,15 @@ class SocketEngine : public Transport {
 
   // ---- outboxes (PE threads + comm thread) ---------------------------
 
-  /// Queue one record.  With `owned_msg` set, the body IS the message
-  /// image and ownership transfers to the outbox: only the 16-byte header
-  /// is built here, sendmsg gathers the body from the message itself, and
-  /// the message is freed when the record fully leaves the kernel.
-  void Enqueue(int node, std::uint8_t kind, int dest_pe, const void* body,
-               std::uint32_t len, void* owned_msg = nullptr) {
+  /// Stage one record for `src`.  With `owned_msg` set, the body IS the
+  /// message image and ownership transfers to the outbox: only the 16-byte
+  /// header is built here, sendmsg gathers the body from the message
+  /// itself, and the message is freed when the record fully leaves the
+  /// kernel.  Writes at once for flush points (a) and (b); otherwise the
+  /// record waits for `src`'s next flush point.
+  void Enqueue(PeState& src, int node, std::uint8_t kind, int dest_pe,
+               const void* body, std::uint32_t len,
+               void* owned_msg = nullptr) {
     assert(node >= 0 && node < static_cast<int>(peers_.size()) &&
            node != mynode_);
     WireRec rec;
@@ -326,16 +361,28 @@ class SocketEngine : public Transport {
       WireEncode(rec, buf.data.data());
       if (len > 0) std::memcpy(buf.data.data() + kWireRecBytes, body, len);
     }
-    bool was_empty;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      Peer& p = peers_[static_cast<std::size_t>(node)];
-      was_empty = p.outbox.empty();
-      p.outbox.push_back(std::move(buf));
+    std::lock_guard<std::mutex> lock(mu_);
+    Peer& p = peers_[static_cast<std::size_t>(node)];
+    p.outbox_bytes += buf.size();
+    p.outbox.push_back(std::move(buf));
+    if (kind == kWireImmediate || p.outbox.size() >= kBatchRecords ||
+        p.outbox_bytes >= kBatchBytes) {
+      WriteLocked(p);
     }
-    // A non-empty outbox means the comm thread is already draining (or
-    // has POLLOUT armed); only the first record needs the wake byte.
-    if (was_empty) Wake();
+    if (!p.outbox.empty()) src.wire_staged = true;
+  }
+
+  /// A PE's write of peer `p`'s outbox.  A peer the comm thread owns is
+  /// left alone (its POLLOUT drain keeps the bytes in order); a write the
+  /// kernel refuses now hands the peer over with one wake byte, so the
+  /// comm thread re-polls with POLLOUT armed.  Caller holds mu_.
+  void WriteLocked(Peer& p) {
+    if (p.stalled) return;
+    FlushLocked(p);
+    if (!p.outbox.empty()) {
+      p.stalled = true;
+      Wake();
+    }
   }
 
   void Wake() {
@@ -356,29 +403,37 @@ class SocketEngine : public Transport {
         static_cast<std::int64_t>(machine_.config().wire_timeout_ms) *
             1000000;
     for (int j = 0; j < mynode_; ++j) {
-      Peer& p = peers_[static_cast<std::size_t>(j)];
       std::int64_t backoff_ns = 1000000;  // 1 ms, doubling to 100 ms
+      int fd;
       for (;;) {
-        p.fd = Dial(j);
-        if (p.fd >= 0) break;
+        fd = Dial(j);
+        if (fd >= 0) break;
         if (util::NowNs() > deadline || ShuttingDown()) break;
         std::this_thread::sleep_for(std::chrono::nanoseconds(backoff_ns));
         if (backoff_ns < 100000000) backoff_ns *= 2;
       }
-      if (p.fd < 0) {
+      if (fd < 0) {
         if (!ShuttingDown()) {
           Fail("rendezvous with node " + std::to_string(j) +
                " timed out");
         }
         return;
       }
-      SendHello(p);
-      SetNonBlocking(p.fd);
+      Publish(peers_[static_cast<std::size_t>(j)], fd);
     }
     Loop();
   }
 
-  void SendHello(Peer& p) {
+  /// Connecting side: say hello on a freshly dialed stream, then make it
+  /// visible to PE writers.  The hello must be the stream's first record.
+  void Publish(Peer& p, int fd) {
+    SendHello(fd);
+    SetNonBlocking(fd);
+    std::lock_guard<std::mutex> lock(mu_);
+    p.fd = fd;
+  }
+
+  void SendHello(int fd) {
     WireRec rec;
     rec.length = 0;
     rec.dest_pe = 0;
@@ -386,12 +441,12 @@ class SocketEngine : public Transport {
     rec.kind = kWireHello;
     unsigned char buf[kWireRecBytes];
     WireEncode(rec, buf);
-    // The fd is still blocking here (or the record rides the outbox on
-    // reconnect); 16 bytes into a fresh stream cannot meaningfully block.
+    // The fd is still blocking and unpublished here; 16 bytes into a
+    // fresh stream cannot meaningfully block.
     std::size_t off = 0;
     while (off < kWireRecBytes) {
       const ssize_t n =
-          send(p.fd, buf + off, kWireRecBytes - off, MSG_NOSIGNAL);
+          send(fd, buf + off, kWireRecBytes - off, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR || errno == EAGAIN) continue;
         return;  // the read side will notice the dead stream
@@ -438,6 +493,7 @@ class SocketEngine : public Transport {
           OutBuf buf;
           buf.data.resize(kWireRecBytes);
           WireEncode(rec, buf.data.data());
+          p.outbox_bytes += buf.size();
           p.outbox.push_back(std::move(buf));
           p.goodbye_tx = true;
         }
@@ -496,7 +552,8 @@ class SocketEngine : public Transport {
           if (p.fd >= 0 && (fds[k].revents & POLLOUT)) FlushPeer(p);
         }
       }
-      // Opportunistic flush: records enqueued since the poll snapshot.
+      // Backstop flush: records staged since the poll snapshot that no
+      // PE flush point has written (and streams that just came up).
       {
         std::lock_guard<std::mutex> lock(mu_);
         for (Peer& p : peers_) {
@@ -508,10 +565,6 @@ class SocketEngine : public Transport {
                          [](const Pending& c) { return c.fd < 0; }),
           pending_.end());
       TendDisconnected();
-      if (machine_.aborted() && !down) {
-        // A PE threw; keep the wire alive until Stop() so late peer bytes
-        // do not RST, but stop waiting on anything.
-      }
     }
   }
 
@@ -578,10 +631,6 @@ class SocketEngine : public Transport {
       return;
     }
     Peer& p = peers_[rec.src_node];
-    if (p.fd >= 0) {
-      // Stale stream superseded by this reconnect.
-      close(p.fd);
-    }
     if (p.rx_msg != nullptr) {
       // A direct fill died with the old stream; the sender retransmits
       // that record from its start.
@@ -590,7 +639,11 @@ class SocketEngine : public Transport {
       p.rx_len = 0;
       p.rx_off = 0;
     }
-    p.fd = c.fd;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (p.fd >= 0) close(p.fd);  // stale stream superseded by this one
+      p.fd = c.fd;
+    }
     p.hello_rx = true;
     p.goodbye_rx = false;
     p.down_since_ns = -1;
@@ -610,11 +663,11 @@ class SocketEngine : public Transport {
         if (n < 0) {
           if (errno == EAGAIN) return;
           if (errno == EINTR) continue;
-          OnStreamDown(node, p);
+          OnStreamDown(p);
           return;
         }
         if (n == 0) {
-          OnStreamDown(node, p);
+          OnStreamDown(p);
           return;
         }
         syscalls_.fetch_add(1, std::memory_order_relaxed);
@@ -629,11 +682,11 @@ class SocketEngine : public Transport {
       if (n < 0) {
         if (errno == EAGAIN) return;
         if (errno == EINTR) continue;
-        OnStreamDown(node, p);
+        OnStreamDown(p);
         return;
       }
       if (n == 0) {
-        OnStreamDown(node, p);
+        OnStreamDown(p);
         return;
       }
       syscalls_.fetch_add(1, std::memory_order_relaxed);
@@ -657,8 +710,7 @@ class SocketEngine : public Transport {
         WireRec rec;
         if (!WireDecode(data + off, &rec)) {
           Fail("malformed record from node " + std::to_string(node));
-          close(p.fd);
-          p.fd = -1;
+          CloseStream(p);
           return false;
         }
         const std::size_t avail = n - off - kWireRecBytes;
@@ -707,8 +759,7 @@ class SocketEngine : public Transport {
       if (r == 0) return true;
       if (r < 0) {
         Fail("malformed record from node " + std::to_string(node));
-        close(p.fd);
-        p.fd = -1;
+        CloseStream(p);
         return false;
       }
       Dispatch(p, rec, body);
@@ -744,9 +795,14 @@ class SocketEngine : public Transport {
     }
   }
 
-  void OnStreamDown(int node, Peer& p) {
+  /// Close `p`'s stream under mu_, so no PE is mid-write on it.
+  void CloseStream(Peer& p) {
+    std::lock_guard<std::mutex> lock(mu_);
     close(p.fd);
     p.fd = -1;
+  }
+
+  void OnStreamDown(Peer& p) {
     p.parser.Reset();  // a partial record died with the stream
     if (p.rx_msg != nullptr) {  // ...including a half-filled direct body
       CmiFree(p.rx_msg);
@@ -754,16 +810,15 @@ class SocketEngine : public Transport {
       p.rx_len = 0;
       p.rx_off = 0;
     }
-    if (p.goodbye_rx || ShuttingDown()) return;  // clean end
+    std::lock_guard<std::mutex> lock(mu_);
+    close(p.fd);
+    p.fd = -1;
+    if (p.goodbye_rx || shutting_down_) return;  // clean end
     p.down_since_ns = util::NowNs();
     p.next_dial_ns = p.down_since_ns;
-    {
-      // The peer resends its partial front record on its side; we resend
-      // ours: rewind the front outbox record to its start.
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!p.outbox.empty()) p.outbox.front().off = 0;
-    }
-    (void)node;
+    // The peer resends its partial front record on its side; we resend
+    // ours: rewind the front outbox record to its start.
+    if (!p.outbox.empty()) p.outbox.front().off = 0;
   }
 
   /// Reconnect (connecting side) or time out streams that are down.
@@ -787,9 +842,7 @@ class SocketEngine : public Transport {
       if (static_cast<int>(i) < mynode_ && now >= p.next_dial_ns) {
         const int fd = Dial(static_cast<int>(i));
         if (fd >= 0) {
-          p.fd = fd;
-          SendHello(p);
-          SetNonBlocking(fd);
+          Publish(p, fd);
           p.down_since_ns = -1;
           reconnects_.fetch_add(1, std::memory_order_relaxed);
         } else {
@@ -807,7 +860,8 @@ class SocketEngine : public Transport {
   /// Gather as many queued records as fit into iovecs and push them with
   /// sendmsg until EAGAIN or the outbox empties.  Zero-copy records
   /// contribute two iovecs (header bytes + the message image itself); the
-  /// message is freed once its last byte is accepted.  Caller holds mu_.
+  /// message is freed once its last byte is accepted.  An emptied outbox
+  /// returns the peer to the PE writers.  Caller holds mu_.
   void FlushLocked(Peer& p) {
     while (!p.outbox.empty() && p.fd >= 0) {
       iovec iov[16];
@@ -856,6 +910,7 @@ class SocketEngine : public Transport {
             check::OnReclaim(front.msg);  // its last byte left the kernel
             CmiFree(front.msg);
           }
+          p.outbox_bytes -= front.size();
           p.outbox.pop_front();
         } else {
           front.off += left;
@@ -864,6 +919,7 @@ class SocketEngine : public Transport {
       }
       if (static_cast<std::size_t>(n) < queued) return;  // kernel is full
     }
+    if (p.outbox.empty()) p.stalled = false;
   }
 
   void CloseAll() {
@@ -880,6 +936,7 @@ class SocketEngine : public Transport {
         }
       }
       p.outbox.clear();
+      p.outbox_bytes = 0;
       if (p.rx_msg != nullptr) {
         CmiFree(p.rx_msg);
         p.rx_msg = nullptr;
@@ -905,7 +962,7 @@ class SocketEngine : public Transport {
   bool unix_mode_ = false;
   int listen_fd_ = -1;
   int wake_[2] = {-1, -1};
-  std::mutex mu_;  // outboxes + shutting_down_
+  std::mutex mu_;  // Peer fd/outbox/stalled + shutting_down_
   bool shutting_down_ = false;
   bool running_ = false;
   std::vector<Peer> peers_;      // indexed by node id; [mynode_] unused

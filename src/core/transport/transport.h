@@ -10,6 +10,7 @@
 //                   carrier; frames are the wire unit, PR 4).
 //   SendNodeCast  — one record per remote node for a spanning-tree
 //                   broadcast; the receiving node fans out locally.
+//   Flush         — write the records a PE staged (see FlushWire).
 //   Stop/Start    — lifecycle bracketing Machine::Run.
 //
 // Two families implement this:
@@ -23,9 +24,10 @@
 //     unchanged.  This is what `simfuzz --transport` runs.
 //
 //   SocketEngine (socket.cpp) — real mode (config.mynode >= 0): Unix
-//     domain / TCP sockets to peer processes, one comm thread per node,
-//     batched writev gather, poll() progress engine, reconnect with
-//     backoff, goodbye handshake on shutdown.
+//     domain / TCP sockets to peer processes; sending PEs write their own
+//     batched sendmsg gathers at the machine's flush points, one comm
+//     thread per node reads, drains what the kernel refused (POLLOUT),
+//     reconnects with backoff and runs the goodbye handshake on shutdown.
 //
 // Single-node machines have no Transport at all (MakeTransport returns
 // nullptr) — the in-process fast path is exactly the pre-refactor code.
@@ -36,11 +38,9 @@
 #include <memory>
 
 #include "converse/cmi.h"
+#include "core/pe_state.h"
 
 namespace converse::detail {
-
-class Machine;
-struct PeState;
 
 class Transport {
  public:
@@ -74,6 +74,11 @@ class Transport {
   virtual void SendNodeCast(PeState& src, int node, const void* image,
                             std::uint32_t size) = 0;
 
+  /// Write what `pe` staged with SendRemote / SendNodeCast and clear its
+  /// `wire_staged` flag.  Reached only through FlushWire, so never on a
+  /// backend that does not stage (loopback) or on single-node machines.
+  virtual void Flush(PeState& pe) { (void)pe; }
+
   /// Fold the node-level counters into a per-PE stats snapshot (CmiGetStats
   /// mirrors them on every local PE, like the agg/bcast counters).
   void FoldStats(CmiStats& s) const {
@@ -99,6 +104,13 @@ class Transport {
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> dropped_{0};
 };
+
+/// A PE's wire flush point: after each handler dispatch, whenever PopNet
+/// finds the lanes empty, and in CstFlushAll.  One predictable branch for
+/// a PE that staged nothing (every PE of a single-node machine).
+inline void FlushWire(PeState& pe) {
+  if (pe.wire_staged) pe.machine->transport()->Flush(pe);
+}
 
 /// Build the backend the machine's (already env-resolved) config asks
 /// for; nullptr when the machine is single-node.

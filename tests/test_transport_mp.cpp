@@ -8,11 +8,18 @@
 // dies mid-stream must abort the survivors after CONVERSE_WIRE_TIMEOUT_MS
 // (never hang), and a connection torn down at a partial record must not
 // deliver the truncated tail.
+//
+// The send-path tests check that per-sender FIFO and exactly-once delivery
+// hold across the sending PE's own writes and the comm thread's POLLOUT
+// drain, and that a PE that only polls never leaves its records waiting
+// for the comm thread's backstop.
 #include "test_helpers.h"
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -34,6 +41,10 @@ struct ForkResult {
   std::vector<int> codes;  // per-node exit code (128+sig for signals)
 };
 
+// Pids ForkNodes forked so far, in node order.  A child inherits the
+// entries of every node forked before it, so node i can signal node j < i.
+std::vector<pid_t> g_forked;
+
 // Fork `nnodes` children; child `i` runs `body(cfg, node)` on a config
 // pre-wired for real mode over a fresh Unix-socket rendezvous directory
 // and _exits with its return value.  gtest never runs in the children.
@@ -45,7 +56,8 @@ ForkResult ForkNodes(int npes, int nnodes, CmiTransport transport,
     ADD_FAILURE() << "mkdtemp failed";
     return {};
   }
-  std::vector<pid_t> pids;
+  std::vector<pid_t>& pids = g_forked;
+  pids.clear();
   for (int node = 0; node < nnodes; ++node) {
     const pid_t pid = fork();
     if (pid == 0) {
@@ -253,4 +265,169 @@ TEST(TransportMp, PeerDyingMidStreamAbortsSurvivor) {
   ASSERT_EQ(r.codes.size(), 2u);
   EXPECT_EQ(r.codes[0], kAborted) << "survivor did not abort on dead peer";
   EXPECT_EQ(r.codes[1], kAborted) << "peer did not die as scripted";
+}
+
+namespace {
+
+// Sequenced records for the send-path tests: payload word 0 is the
+// sequence number, the rest a byte pattern keyed by it.
+constexpr std::size_t kSmallRec = 64;
+constexpr std::size_t kBigRec =
+    65536 - static_cast<std::size_t>(CmiMsgHeaderSizeBytes());
+
+const unsigned char* Pattern() {
+  static const std::vector<unsigned char> table = [] {
+    std::vector<unsigned char> t(kBigRec + 256);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      t[i] = static_cast<unsigned char>(i * 7);
+    }
+    return t;
+  }();
+  return table.data();
+}
+
+void* MakeSeqRecord(int handler, std::uint64_t seq) {
+  const std::size_t len = seq % 2 == 0 ? kBigRec : kSmallRec;
+  void* m = CmiAlloc(static_cast<std::size_t>(CmiMsgHeaderSizeBytes()) + len);
+  CmiSetHandler(m, handler);
+  auto* p = static_cast<unsigned char*>(CmiMsgPayload(m));
+  std::memcpy(p, Pattern() + seq % 256, len);
+  std::memcpy(p, &seq, sizeof(seq));
+  return m;
+}
+
+bool SeqRecordIntact(void* m, std::uint64_t seq) {
+  const std::size_t len = seq % 2 == 0 ? kBigRec : kSmallRec;
+  if (CmiMsgPayloadSize(m) != len) return false;
+  const auto* p = static_cast<const unsigned char*>(CmiMsgPayload(m));
+  return std::memcmp(p + sizeof(seq), Pattern() + seq % 256 + sizeof(seq),
+                     len - sizeof(seq)) == 0;
+}
+
+}  // namespace
+
+TEST(TransportMp, FifoExactlyOnceAcrossPeWritesAndPolloutDrains) {
+  // Node 1 streams sequenced records to node 0, alternating 64 KiB and
+  // 64 B.  While it queues the first 8 MiB, node 0 is stopped (SIGSTOP),
+  // so the socket buffer (at most 2 MiB) must refuse bytes mid-burst: the
+  // sending PE's own writes hit EAGAIN or a partial write and hand the
+  // stream to the comm thread, whose POLLOUT drain takes over once node 0
+  // resumes, while the PE keeps staging and polling.  Node 0 checks every
+  // record in order (per-sender FIFO), its content, and the total count
+  // (exactly once).
+  constexpr std::uint64_t kStoppedRecs = 256;  // 128 x 64 KiB = 8 MiB
+  constexpr std::uint64_t kTotalRecs = 512;
+  const ForkResult r = ForkNodes(
+      2, 2, CmiTransport::kSocket, 10000, [](MachineConfig& cfg, int) {
+        bool ok = true;
+        RunConverse(cfg, [&](int pe, int) {
+          std::uint64_t next = 0;
+          bool ready = false;
+          const int h_ready =
+              CmiRegisterHandler([&ready](void*) { ready = true; });
+          const int h_rec = CmiRegisterHandler([&ok, &next](void* m) {
+            std::uint64_t seq;
+            std::memcpy(&seq, CmiMsgPayload(m), sizeof(seq));
+            if (seq != next || !SeqRecordIntact(m, seq)) ok = false;
+            ++next;
+          });
+          const int h_end = CmiRegisterHandler([&ok, &next](void* m) {
+            std::uint64_t sent;
+            std::memcpy(&sent, CmiMsgPayload(m), sizeof(sent));
+            if (sent != next) ok = false;
+            ConverseBroadcastExit();
+          });
+          // The receiver answers the sender's probe: both streams are up
+          // and the receiver is in its scheduler before the stop.
+          const int h_probe = CmiRegisterHandler([h_ready](void*) {
+            void* m = CmiMakeMessage(h_ready, nullptr, 0);
+            CmiSyncSendAndFree(1, CmiMsgTotalSize(m), m);
+          });
+          if (pe == 0) {
+            CsdScheduler(-1);
+            return;
+          }
+          void* probe = CmiMakeMessage(h_probe, nullptr, 0);
+          CmiSyncSendAndFree(0, CmiMsgTotalSize(probe), probe);
+          while (!ready) CsdScheduler(1);
+          const pid_t receiver = g_forked[0];
+          kill(receiver, SIGSTOP);
+          struct Resume {
+            pid_t pid;
+            ~Resume() { kill(pid, SIGCONT); }
+          } resume{receiver};
+          std::uint64_t seq = 0;
+          for (; seq < kStoppedRecs; ++seq) {
+            void* m = MakeSeqRecord(h_rec, seq);
+            CmiSyncSendAndFree(0, CmiMsgTotalSize(m), m);
+          }
+          CmiDeliverMsgs(0);  // flush point (d) while the peer is stopped
+          kill(receiver, SIGCONT);
+          for (; seq < kTotalRecs; ++seq) {
+            void* m = MakeSeqRecord(h_rec, seq);
+            CmiSyncSendAndFree(0, CmiMsgTotalSize(m), m);
+            if (seq % 7 == 0) CmiDeliverMsgs(0);
+          }
+          void* end = CmiMakeMessage(h_end, &seq, sizeof(seq));
+          CmiSyncSendAndFree(0, CmiMsgTotalSize(end), end);
+          CsdScheduler(-1);
+        });
+        return ok ? kPass : kCheckFailed;
+      });
+  ASSERT_EQ(r.codes.size(), 2u);
+  EXPECT_EQ(r.codes[0], kPass) << "receiver saw a lost, duplicated, "
+                                  "reordered or corrupted record";
+  EXPECT_EQ(r.codes[1], kPass);
+}
+
+TEST(TransportMp, PollOnlyRoundTripsNeverWaitForTheBackstop) {
+  // Both PEs send and then poll only with CmiGetMsg — no scheduler, no
+  // CmiFlush.  Each leg must leave at the poll's first empty look (flush
+  // point (d)); a record left for the comm thread's 50 ms backstop would
+  // cost 100 round trips at least 5 s.
+  constexpr int kRounds = 100;
+  const ForkResult r = ForkNodes(
+      2, 2, CmiTransport::kSocket, 10000, [](MachineConfig& cfg, int) {
+        bool ok = true;
+        double elapsed_s = 0;
+        RunConverse(cfg, [&](int pe, int) {
+          const int h = CmiRegisterHandler([](void*) {});
+          const auto send = [h](int dest, int v) {
+            void* m = CmiMakeMessage(h, &v, sizeof(v));
+            CmiSyncSendAndFree(dest, CmiMsgTotalSize(m), m);
+          };
+          const auto recv = [&ok](int want) {
+            void* m;
+            while ((m = CmiGetMsg()) == nullptr) {
+            }
+            int v;
+            std::memcpy(&v, CmiMsgPayload(m), sizeof(v));
+            if (v != want) ok = false;
+          };
+          // Round -1 warms up: it also waits out the rendezvous.
+          const auto t0 = std::chrono::steady_clock::now();
+          for (int i = -1; i < kRounds; ++i) {
+            if (i == 0 && pe == 0) {
+              const auto now = std::chrono::steady_clock::now();
+              elapsed_s = -std::chrono::duration<double>(now - t0).count();
+            }
+            if (pe == 0) {
+              send(1, i);
+              recv(i);
+            } else {
+              recv(i);
+              send(0, i);
+            }
+          }
+          if (pe == 0) {
+            elapsed_s += std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+          }
+        });
+        return ok && elapsed_s < 1.0 ? kPass : kCheckFailed;
+      });
+  ASSERT_EQ(r.codes.size(), 2u);
+  EXPECT_EQ(r.codes[0], kPass) << "round trips too slow or out of order";
+  EXPECT_EQ(r.codes[1], kPass);
 }
