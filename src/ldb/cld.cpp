@@ -31,11 +31,12 @@
 //
 // Rebalance protocol (kPeriodic): on timed machines each PE with a backlog
 // runs a virtual-clock timer (delayed self-send); every tick it publishes
-// its store size to all peers and, when above the resulting average, pushes
-// its excess toward under-average peers.  Plain machines would lose the
-// delay (delayed self-sends degrade to immediate), so they piggyback the
-// same publish-and-push pass on every kRebalanceExecPeriod-th worker
-// execution instead.
+// its store size to all peers (skipped when neither the size nor the stored
+// count moved since the last publish) and, when above the resulting
+// average, pushes its excess toward under-average peers.  Plain machines
+// would lose the delay (delayed self-sends degrade to immediate), so they
+// piggyback the same publish-and-push pass on every
+// kRebalanceExecPeriod-th worker execution instead.
 //
 // The legacy strategies never touch any of the adaptive state: no store,
 // no hooks firing, no extra messages, no atomics anywhere in this module.
@@ -142,6 +143,12 @@ struct CldState {
   // kPeriodic.
   bool timer_armed = false;
   std::vector<std::int64_t> samples;  // last published store size, per PE
+  // What the peers last heard from us: the size we published, and our
+  // stored count at that moment (a seed stored since then may be one a
+  // peer pushed, which that peer already counts in its samples[] — only a
+  // fresh publish corrects its view).
+  std::int64_t published = -1;
+  std::uint64_t stored_at_publish = 0;
 
   CldCounters c;
 };
@@ -499,10 +506,16 @@ void PublishAndRebalance(CldState& st, detail::PeState& pe) {
   if (pe.npes < 2) return;
   std::int64_t own = static_cast<std::int64_t>(st.store.size());
   st.samples[static_cast<std::size_t>(pe.mype)] = own;
-  for (int i = 0; i < pe.npes; ++i) {
-    if (i == pe.mype) continue;
-    void* s = CmiMakeMessage(st.sample_handler, &own, sizeof(own));
-    SendCld(st, pe, i, s);
+  // An unchanged size with no seed stored since the last publish tells
+  // the peers nothing new: skip the npes-1 sample messages.
+  if (own != st.published || st.c.stored != st.stored_at_publish) {
+    st.published = own;
+    st.stored_at_publish = st.c.stored;
+    for (int i = 0; i < pe.npes; ++i) {
+      if (i == pe.mype) continue;
+      void* s = CmiMakeMessage(st.sample_handler, &own, sizeof(own));
+      SendCld(st, pe, i, s);
+    }
   }
   std::int64_t total = 0;
   for (const std::int64_t v : st.samples) total += v;

@@ -7,6 +7,11 @@
 #include <limits>
 #include <stdexcept>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "converse/check.h"
 #include "converse/cmi.h"
 #include "converse/msg.h"
@@ -21,7 +26,29 @@ SimCoordinator::SimCoordinator(Machine& m, const SimConfig& cfg)
       cfg_(cfg),
       npes_(m.npes()),
       slots_(static_cast<std::size_t>(m.npes())),
-      rng_(cfg.seed) {}
+      rng_(cfg.seed) {
+#if defined(__linux__)
+  cpu_ = sched_getcpu();  // the building thread's CPU; -1 leaves PEs unpinned
+#endif
+}
+
+namespace {
+
+/// Pin the calling PE thread to `cpu` (see sim_internal.h).  Best effort:
+/// a refused request only costs speed.
+void PinToSimCpu(int cpu) {
+#if defined(__linux__)
+  if (cpu < 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  (void)pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+#else
+  (void)cpu;
+#endif
+}
+
+}  // namespace
 
 void SimCoordinator::HashEvent(Event kind, std::uint64_t a, std::uint64_t b,
                                std::uint64_t c) {
@@ -176,6 +203,7 @@ void SimCoordinator::ScheduleNextLocked(std::unique_lock<std::mutex>& lk) {
 }
 
 void SimCoordinator::PeStart(PeState& pe) {
+  PinToSimCpu(cpu_);
   std::unique_lock lk(mu_);
   Slot& sp = slots_[static_cast<std::size_t>(pe.mype)];
   sp.state = PeRunState::kReady;

@@ -19,6 +19,11 @@
 // the coordinator raises every PE's scheduler-exit flag (or reports a
 // deadlock, see BlockForNet).
 //
+// Since only the baton holder runs, every PE thread is pinned to one CPU
+// (the one the machine was built on, see PinToSimCpu): a handoff is then a
+// same-CPU context switch instead of a cross-CPU wakeup, whose idle-exit
+// latency would otherwise dominate the wall time of a long run.
+//
 // Lock ordering: mu_ before any PeState::mu, never the reverse.  Machine
 // code calls into the coordinator only while holding no PE mutex.
 #pragma once
@@ -164,6 +169,7 @@ class SimCoordinator {
   int last_running_ = -1;
   bool abort_mode_ = false;
   std::vector<int> cand_;  // scratch for ScheduleNextLocked
+  int cpu_ = -1;           // CPU the PE threads share; -1 = leave unpinned
 
   // The virtual clock gets its own (innermost, leaf) mutex so NowUs is
   // callable from machine paths that already hold mu_ or a PeState::mu.
